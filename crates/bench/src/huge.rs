@@ -34,6 +34,7 @@ use mpc_sim::{MemoryBudget, MpcConfig};
 use mwvc_core::mpc::{run_outofcore, OocConfig};
 use mwvc_graph::generators::gnm_stream_into;
 use mwvc_graph::StreamingGraphBuilder;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Parameters of a huge-tier run. Defaults are the headline scale; every
@@ -130,7 +131,11 @@ pub fn run_huge(p: &HugeParams) -> Result<(BenchReport, Table), String> {
     let scratch = std::env::var("HUGE_SCRATCH")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|_| std::env::temp_dir());
-    let path = scratch.join(format!("huge-{}-{}.ocsr", std::process::id(), p.seed));
+    // Process id plus a per-process run counter: concurrent runs in one
+    // process (parallel tests with the same seed) must not share a file.
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let path = scratch.join(format!("huge-{}-{run}-{}.ocsr", std::process::id(), p.seed));
 
     eprintln!(
         "[huge] streaming {} edge samples over n={} into {} (builder budget {} MB)...",

@@ -5,9 +5,9 @@
 //! * [`chrome_trace`] — a Chrome Trace Event Format document (loadable
 //!   in Perfetto / `chrome://tracing`) rendering the critical-path
 //!   per-machine rows as one "X" complete event per machine per round.
-//!   Under the pipelined scheduler the `start` offsets stagger, so the
-//!   timeline shows cross-machine segment overlap as a Gantt chart;
-//!   under the barrier scheduler every machine starts a round together.
+//!   Each event starts at the machine's start time in the
+//!   dependency-pipelined schedule, so the `start` offsets stagger and
+//!   the timeline shows cross-machine overlap as a Gantt chart.
 //!   Timestamps are **model cost units** (words), not host time — the
 //!   document is bit-identical across host pool widths.
 //! * [`events_jsonl`] / [`parse_events_jsonl`] — the model-domain event

@@ -30,7 +30,6 @@
 
 use crate::init::InitScheme;
 use crate::thresholds::ThresholdScheme;
-use mpc_sim::RoundScheduler;
 use serde::{Deserialize, Serialize};
 
 /// How many local iterations `I` a phase simulates.
@@ -160,10 +159,6 @@ pub struct MpcMwvcConfig {
     pub switch: PhaseSwitch,
     /// Hard cap on phases (guards configurations that cannot progress).
     pub max_phases: usize,
-    /// Host round-execution engine for the simulator cluster. No effect
-    /// on model costs, covers, or certificates — only on how the host
-    /// overlaps placement and compute.
-    pub scheduler: RoundScheduler,
     /// Deterministic fault-injection plan for the simulator cluster
     /// (inactive by default). Covers and certificates are bit-identical
     /// under every recoverable plan; unrecoverable plans surface as
@@ -191,7 +186,6 @@ impl MpcMwvcConfig {
             },
             switch: PhaseSwitch::PaperLog30,
             max_phases: 1000,
-            scheduler: RoundScheduler::Barrier,
             faults: mpc_sim::FaultConfig::none(),
         }
     }
@@ -220,7 +214,6 @@ impl MpcMwvcConfig {
             },
             switch: PhaseSwitch::AvgDegree(2.0),
             max_phases: 300,
-            scheduler: RoundScheduler::Barrier,
             faults: mpc_sim::FaultConfig::none(),
         }
     }
@@ -247,7 +240,6 @@ impl MpcMwvcConfig {
             },
             switch: PhaseSwitch::AvgDegree(8.0),
             max_phases: 200,
-            scheduler: RoundScheduler::Barrier,
             faults: mpc_sim::FaultConfig::none(),
         }
     }
@@ -260,12 +252,6 @@ impl MpcMwvcConfig {
     /// `V^high` degree cutoff for average degree `d`.
     pub fn high_degree_cutoff(&self, d: f64) -> f64 {
         d.max(1.0).powf(self.high_degree_exponent)
-    }
-
-    /// Switches the simulator to the given host round scheduler.
-    pub fn with_scheduler(mut self, scheduler: RoundScheduler) -> Self {
-        self.scheduler = scheduler;
-        self
     }
 
     /// Installs a deterministic fault-injection plan for the simulator

@@ -4,10 +4,10 @@
 //! Faults here are *inputs*, not accidents. A [`FaultPlan`] decides every
 //! injection by hashing its coordinates with a splitmix64-style mixer, so
 //! the same [`FaultConfig`] produces the same crashes, dropped
-//! deliveries, spill I/O errors, and straggler delays on every host, at
-//! every pool width, under both schedulers. That determinism is what lets
-//! the chaos suite assert the flagship invariant: a recovered run is
-//! bit-identical to a fault-free run.
+//! deliveries, spill I/O errors, and straggler delays on every host and
+//! at every pool width. That determinism is what lets the chaos suite
+//! assert the flagship invariant: a recovered run is bit-identical to a
+//! fault-free run.
 //!
 //! The plan covers four failure classes:
 //!

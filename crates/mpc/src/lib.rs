@@ -43,25 +43,22 @@ pub mod events;
 pub mod faults;
 pub mod metrics;
 pub mod model;
-pub mod pipeline;
 pub mod primitives;
 pub mod rng;
 pub mod router;
 pub mod spill;
-pub(crate) mod sync;
 pub mod words;
 
 pub use accounting::{
     CriticalPath, ExecutionTrace, FaultStats, MachineRound, RoundStats, TraceSummary, Violation,
     ViolationKind,
 };
-pub use checkpoint::CheckpointStore;
+pub use checkpoint::{CheckpointStore, SegmentRound};
 pub use cluster::{Cluster, Inbox, MachineCtx};
 pub use events::{EventKind, EventRing, TraceEvent};
 pub use faults::{chaos_mutation, ClusterError, FaultConfig, FaultKind, FaultPlan};
 pub use metrics::{HostMetrics, HostPhase, MetricsRegistry, ModelMetrics};
-pub use model::{Enforcement, MemoryBudget, MemoryRegime, MpcConfig, RoundScheduler};
-pub use pipeline::{ReadinessBoard, SegmentRound};
+pub use model::{Enforcement, MemoryBudget, MemoryRegime, MpcConfig};
 pub use router::{FlatInboxes, Outbox, RouteScratch};
 pub use spill::SpillFile;
 pub use words::Words;

@@ -4,7 +4,7 @@
 //! * **Model-domain** ([`ModelMetrics`]) — words routed, spill words,
 //!   readiness waits, region sizes. Derived purely from the simulated
 //!   cost model, so they are bit-deterministic: identical at every host
-//!   pool width and under both round schedulers.
+//!   pool width.
 //! * **Host-time** ([`HostMetrics`]) — route vs compute vs spill
 //!   wall-clock. Informational only; never gated, never part of
 //!   [`ExecutionTrace`](crate::ExecutionTrace) equality.
@@ -123,7 +123,7 @@ impl Default for Histogram {
 }
 
 /// Deterministic model-domain metrics: pure functions of the simulated
-/// execution, identical across schedulers and pool widths.
+/// execution, identical across pool widths.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ModelMetrics {
     /// Total words moved across the network (all machines, all rounds).
@@ -131,7 +131,8 @@ pub struct ModelMetrics {
     /// Total words written to spill files.
     pub spill_words: Counter,
     /// Number of (machine, round) pairs that would idle at a barrier
-    /// (`stall > 0`) — the waits the pipelined scheduler overlaps.
+    /// (`stall > 0`) — the waits a dependency-pipelined host could
+    /// overlap.
     pub readiness_waits: Counter,
     /// Total barrier idle cost, in model units (the sum behind
     /// `CriticalPath::barrier_stall`).
@@ -154,16 +155,13 @@ pub struct HostMetrics {
 }
 
 /// One round's host wall-clock, split by phase (seconds). Informational:
-/// host- and thread-count-dependent, never part of trace equality. Under
-/// the pipelined scheduler the overlapped next-round compute is folded
-/// into `route_s` (that is the point of the overlap); only a segment's
-/// leading compute sweep shows up in `compute_s`.
+/// host- and thread-count-dependent, never part of trace equality.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HostPhase {
-    /// Wall-clock of the round's (non-overlapped) compute sweep.
+    /// Wall-clock of the round's compute sweep (under fault recovery,
+    /// plus the checkpoint and straggler delays that precede it).
     pub compute_s: f64,
-    /// Wall-clock of layout + placement (plus overlapped compute in
-    /// pipelined mode).
+    /// Wall-clock of the route: layout + placement.
     pub route_s: f64,
     /// Wall-clock of spill-file I/O performed during the round.
     pub spill_s: f64,

@@ -9,6 +9,11 @@
 //!    shape, steady-state rounds perform **zero** inbox/outbox heap
 //!    allocation, pinned by a counting global allocator around the bare
 //!    fabric and by buffer-identity checks through the full `Cluster`.
+//!
+//! The counting allocator is process-global, so every test in this
+//! binary, proptest cases included, runs under one shared lock
+//! ([`serial`]): a counting test never shares the process with a sibling
+//! test that is allocating, at any `--test-threads`.
 
 use mpc_sim::router::{
     reference_shuffle, route_forced, stage_outboxes, FlatInboxes, RouteScratch,
@@ -18,6 +23,8 @@ use mpc_sim::{Cluster, MpcConfig, Violation, ViolationKind, Words};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// Global allocator that counts allocations and deallocations (used by
 /// the steady-state and drop-discipline tests; the property tests ignore
@@ -59,6 +66,32 @@ fn allocations() -> usize {
 
 fn deallocations() -> usize {
     DEALLOCS.load(Ordering::Relaxed)
+}
+
+/// The lock every test in this binary holds for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the rest still run one at a time.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`serial`] for the tests that count allocations. Once the lock is
+/// held it also waits until the allocation counter stops moving, so the
+/// test harness has finished its own work after the previous test
+/// (reporting the result, starting the next test's thread) before
+/// counting starts.
+fn serial_quiet() -> MutexGuard<'static, ()> {
+    let guard = serial();
+    let mut last = allocations();
+    loop {
+        std::thread::sleep(Duration::from_millis(5));
+        let now = allocations();
+        if now == last {
+            return guard;
+        }
+        last = now;
+    }
 }
 
 /// Computes the violations the reference word totals imply under `cap`.
@@ -175,6 +208,7 @@ proptest! {
         ),
         par_bit in 0usize..2,
     ) {
+        let _serial = serial();
         let cap = if tight_cap == 1 { cap_small } else { usize::MAX / 4 };
         let pairs = build_pairs(m, &plans);
         assert_matches_reference(m, cap, pairs, par_bit == 1)?;
@@ -188,6 +222,7 @@ proptest! {
         hot_pct in 0usize..=100,
         par_bit in 0usize..2,
     ) {
+        let _serial = serial();
         let parallel = par_bit == 1;
         let m = 6;
         let total = (PARALLEL_SHUFFLE_MIN_MSGS as i64 + delta) as usize;
@@ -213,6 +248,7 @@ proptest! {
 /// the fabric).
 #[test]
 fn steady_state_rounds_allocate_nothing() {
+    let _serial = serial_quiet();
     let m = 8;
     let config = MpcConfig::new(m, usize::MAX / 4);
     let plans: Vec<SenderPlan> = (0..m).map(|i| (180 + 11 * i, 40, (i + 3) % m)).collect();
@@ -294,6 +330,7 @@ static TRACE_COUNTS: CountingSubscriber = CountingSubscriber {
 /// integer fields, and the region events land in the preallocated rings.
 #[test]
 fn traced_steady_state_rounds_allocate_nothing() {
+    let _serial = serial_quiet();
     let _ = tracing::set_subscriber(&TRACE_COUNTS);
     let m = 6;
     let config = MpcConfig::new(m, usize::MAX / 4);
@@ -356,6 +393,7 @@ fn traced_steady_state_rounds_allocate_nothing() {
 /// buffer identity, the allocation discipline observable from safe code.
 #[test]
 fn cluster_reuses_buffers_across_rounds() {
+    let _serial = serial();
     struct Nil;
     impl Words for Nil {
         fn words(&self) -> usize {
@@ -478,6 +516,7 @@ fn run_tracked_scenario(m: usize, rounds: usize, per_dest: usize) {
 /// allocator level.
 #[test]
 fn partial_inbox_drains_drop_every_message_exactly_once() {
+    let _serial = serial_quiet();
     let m = 4;
     let per_dest = 7;
 

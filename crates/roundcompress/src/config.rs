@@ -2,7 +2,6 @@
 //! per-machine budget that drives the part-count schedule, and the level
 //! cap. All randomness (partitions, thresholds) derives from one seed.
 
-use mpc_sim::RoundScheduler;
 use mwvc_core::{InitScheme, ThresholdScheme};
 use serde::{Deserialize, Serialize};
 
@@ -80,10 +79,6 @@ pub struct RoundCompressConfig {
     /// cluster yourself or use an audited config when experimenting with
     /// tiny caps.
     pub max_levels: usize,
-    /// Host round-execution engine for the simulator cluster. No effect
-    /// on model costs, covers, or certificates — only on how the host
-    /// overlaps placement and compute.
-    pub scheduler: RoundScheduler,
     /// Deterministic fault-injection plan for the simulator cluster
     /// ([`mpc_sim::FaultConfig::none`] by default). Under any handled
     /// plan the gated outputs are bit-identical to the fault-free run.
@@ -103,7 +98,6 @@ impl RoundCompressConfig {
             thresholds: ThresholdScheme::UniformRandom,
             budget: BudgetRule::EdgesPerVertex(2.0),
             max_levels: 100,
-            scheduler: RoundScheduler::Barrier,
             faults: mpc_sim::FaultConfig::none(),
         }
     }
@@ -115,12 +109,6 @@ impl RoundCompressConfig {
             solver: LocalSolver::Pricing,
             ..Self::practical(0.25, seed)
         }
-    }
-
-    /// Switches the simulator to the given host round scheduler.
-    pub fn with_scheduler(mut self, scheduler: RoundScheduler) -> Self {
-        self.scheduler = scheduler;
-        self
     }
 
     /// Arms the given fault-injection plan on the simulator cluster.
