@@ -34,6 +34,7 @@ use mpc_sim::{MemoryBudget, MpcConfig};
 use mwvc_core::mpc::{run_outofcore, OocConfig};
 use mwvc_graph::generators::gnm_stream_into;
 use mwvc_graph::StreamingGraphBuilder;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -123,14 +124,24 @@ fn vertex_weight(seed: u64, v: u64) -> f64 {
     1.0 + 9.0 * ((x >> 11) as f64 / (1u64 << 53) as f64)
 }
 
+/// Runs the huge tier end to end in `HUGE_SCRATCH` if set, else the
+/// system temp directory; see [`run_huge_in`].
+pub fn run_huge(p: &HugeParams) -> Result<(BenchReport, Table), String> {
+    let scratch = std::env::var_os("HUGE_SCRATCH")
+        .map(PathBuf::from)
+        .unwrap_or_else(std::env::temp_dir);
+    run_huge_in(p, &scratch)
+}
+
 /// Runs the huge tier end to end: stream-build the on-disk instance,
 /// execute out-of-core under an enforced budget, report one schema-v4
-/// row. The OCSR file lives in the system temp directory (or
-/// `HUGE_SCRATCH` if set) and is removed before returning.
-pub fn run_huge(p: &HugeParams) -> Result<(BenchReport, Table), String> {
-    let scratch = std::env::var("HUGE_SCRATCH")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::env::temp_dir());
+/// row. The builder's sorted runs and the OCSR file go in `scratch`,
+/// which is created first if missing (an error naming the path if that
+/// fails, before any work is done); the OCSR file is removed before
+/// returning.
+pub fn run_huge_in(p: &HugeParams, scratch: &Path) -> Result<(BenchReport, Table), String> {
+    std::fs::create_dir_all(scratch)
+        .map_err(|e| format!("cannot create scratch directory {}: {e}", scratch.display()))?;
     // Process id plus a per-process run counter: concurrent runs in one
     // process (parallel tests with the same seed) must not share a file.
     static RUNS: AtomicU64 = AtomicU64::new(0);
@@ -145,7 +156,7 @@ pub fn run_huge(p: &HugeParams) -> Result<(BenchReport, Table), String> {
         p.byte_budget >> 20
     );
     let build_start = Instant::now();
-    let mut builder = StreamingGraphBuilder::new(p.n, p.byte_budget, None);
+    let mut builder = StreamingGraphBuilder::new(p.n, p.byte_budget, Some(scratch));
     gnm_stream_into(p.n, p.edges, p.seed, &mut builder);
     let csr = builder.finish(&path)?;
     eprintln!(
@@ -307,6 +318,33 @@ mod tests {
         let (b, _) = run_huge(&p).expect("second run");
         assert_eq!(a.workloads[0].model, b.workloads[0].model);
         assert_eq!(a.workloads[0].quality, b.workloads[0].quality);
+    }
+
+    #[test]
+    fn missing_scratch_directory_is_created_and_used() {
+        let root = std::env::temp_dir().join(format!("huge-scratch-{}", std::process::id()));
+        let dir = root.join("nested").join("scratch");
+        assert!(!dir.exists());
+        let (report, _) = run_huge_in(&smoke_params(), &dir).expect("run in a new directory");
+        assert!(report.workloads[0].model.spill_words > 0);
+        assert!(dir.is_dir(), "the scratch directory was created");
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(
+            left.is_empty(),
+            "sorted runs and the OCSR file are cleaned up"
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn uncreatable_scratch_directory_is_a_clear_error() {
+        let file = std::env::temp_dir().join(format!("huge-scratch-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let dir = file.join("scratch");
+        let err = run_huge_in(&smoke_params(), &dir).expect_err("a file is in the way");
+        std::fs::remove_file(&file).unwrap();
+        assert!(err.starts_with("cannot create scratch directory"), "{err}");
+        assert!(err.contains(&dir.display().to_string()), "{err}");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! Every machine plays up to four roles at once:
 //!
 //! * **edge home** — each edge `e` lives permanently on machine
-//!   `owner_of_key(edge_id)`; homes hold the edge's dual state and caches
-//!   of both endpoints' per-phase facts,
+//!   `owner_of_key(edge_id)`; homes hold the edge's dual state, caches
+//!   of both endpoints' per-phase facts, and a static flat
+//!   [`EndpointIndex`] from each endpoint to its home edges,
 //! * **vertex owner** — each vertex `v` lives on `owner_of_key(v)`; owners
 //!   hold the authoritative weight, residual weight, residual degree and
 //!   frozen flag, plus the static list of homes subscribed to `v`
@@ -43,6 +44,15 @@
 //! apply       owners                 flags applied
 //! ```
 //!
+//! The input is placed by [`crate::mpc::layout::distribute`]: one
+//! parallel pass per machine over the graph's CSR builds its home edges,
+//! endpoint index and owned vertices, each ascending by id. The rounds
+//! that aggregate per vertex on a home (`subscribe`, `party`, `finalize`)
+//! are passes in slot order over the endpoint index, so their messages go
+//! out in ascending vertex order and every sum is added in home-edge
+//! order; a vertex gets a message iff at least one of its edges
+//! qualified, even when the sum is zero.
+//!
 //! The host only schedules closures and reads machine 0's broadcast
 //! decision; all data flows through the audited router.
 
@@ -50,14 +60,13 @@ use crate::centralized::{run_centralized_raw, CentralizedParams};
 use crate::certificate::DualCertificate;
 use crate::cover::VertexCover;
 use crate::mpc::config::{MpcMwvcConfig, PhaseSwitch};
+use crate::mpc::layout::{distribute, EndpointIndex};
 use crate::mpc::local_sim::{simulate_local, LocalEdge, LocalInstance, LocalSimParams};
 use crate::mpc::reference::partition_seed;
 use crate::mpc::stats::FinalPhaseStats;
 use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, SegmentRound, Words};
 use mwvc_graph::{EdgeIndex, GraphBuilder, VertexId, VertexPartition, WeightedGraph};
 use rayon::prelude::*;
-use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 /// Vertex classes within a phase.
 mod class {
@@ -213,6 +222,51 @@ struct HomeEdge {
 
 const HOME_EDGE_WORDS: usize = 17;
 
+/// Whether `e` is an active edge of `E[V^high]`: the edges a phase
+/// initializes, routes and prices.
+fn active_high(e: &HomeEdge) -> bool {
+    !e.frozen && e.u_cache.class == class::HIGH && e.v_cache.class == class::HIGH
+}
+
+/// What one home edge adds to its endpoints' per-vertex sums in the
+/// party and finalize rounds: 16 bytes per edge, so the slot-order pass
+/// over the endpoint index does not pull whole [`HomeEdge`]s into cache.
+#[derive(Debug, Clone, Copy, Default)]
+struct Share {
+    u: u32,
+    to_u: bool,
+    to_v: bool,
+    deg_u: u8,
+    deg_v: u8,
+    x: f64,
+}
+
+/// Per-endpoint sums of `shares` (indexed like `home_edges`) in slot
+/// order: `emit(v, Σx, Σdeg)` for every endpoint, ascending, that at
+/// least one edge contributes to — even when the sum is zero. Each sum
+/// is added in ascending home-edge order.
+fn fold_shares(index: &EndpointIndex, shares: &[Share], mut emit: impl FnMut(u32, f64, u32)) {
+    for (v, idxs) in index.iter() {
+        let (mut x, mut deg, mut any) = (0.0, 0, false);
+        for &i in idxs {
+            let s = &shares[i as usize];
+            let (to, d) = if s.u == v {
+                (s.to_u, s.deg_u)
+            } else {
+                (s.to_v, s.deg_v)
+            };
+            if to {
+                x += s.x;
+                deg += u32::from(d);
+                any = true;
+            }
+        }
+        if any {
+            emit(v, x, deg);
+        }
+    }
+}
+
 /// A vertex, as held by its owner machine.
 #[derive(Debug, Clone)]
 struct OwnedVertex {
@@ -263,7 +317,7 @@ struct MachineState {
     n: usize,
     home_edges: Vec<HomeEdge>,
     /// vertex id → indices into `home_edges` (static).
-    endpoint_index: HashMap<u32, Vec<u32>>,
+    endpoint_index: EndpointIndex,
     /// Owned vertices, ascending by id.
     owned: Vec<OwnedVertex>,
     active_edges_local: u64,
@@ -275,9 +329,8 @@ struct MachineState {
 
 impl Words for MachineState {
     fn words(&self) -> usize {
-        let idx_words: usize = self.endpoint_index.values().map(|v| 1 + v.len()).sum();
         HOME_EDGE_WORDS * self.home_edges.len()
-            + idx_words
+            + self.endpoint_index.words()
             + self
                 .owned
                 .iter()
@@ -388,48 +441,27 @@ pub fn try_run_distributed(
 ) -> Result<DistributedOutcome, mpc_sim::ClusterError> {
     config.validate();
     let n = wg.num_vertices();
-    let eidx = EdgeIndex::build(&wg.graph);
-    let m_total = eidx.num_edges();
+    let m_total = wg.num_edges();
     let w = cluster_cfg.num_machines;
 
     // ── Input distribution (free: "the input is divided arbitrarily
     // among all machines"). Edges go to owner_of_key(edge id), vertices
-    // (with their weights) to owner_of_key(vertex id).
-    let mut states: Vec<MachineState> = (0..w)
-        .map(|id| MachineState {
-            n,
-            home_edges: Vec::new(),
-            endpoint_index: HashMap::new(),
-            owned: Vec::new(),
-            active_edges_local: 0,
-            plan: None,
-            sim_vertices: Vec::new(),
-            sim_edges: Vec::new(),
-            coord: (id == 0).then(|| Box::new(CoordState::default())),
-        })
-        .collect();
-    for (geid, e) in eidx.edges().iter().enumerate() {
-        let home = owner_of_key(geid as u64, w);
-        let st = &mut states[home];
-        let idx = st.home_edges.len() as u32;
-        st.home_edges.push(HomeEdge {
-            geid: geid as u32,
-            u: e.u(),
-            v: e.v(),
+    // (with their weights) to owner_of_key(vertex id); see `layout`.
+    let mut inputs = distribute(
+        &wg.graph,
+        w,
+        |geid, u, v| HomeEdge {
+            geid,
+            u,
+            v,
             frozen: false,
             x_final: 0.0,
             x0: 0.0,
             x_mpc: 0.0,
             u_cache: EpCache::default(),
             v_cache: EpCache::default(),
-        });
-        st.endpoint_index.entry(e.u()).or_default().push(idx);
-        st.endpoint_index.entry(e.v()).or_default().push(idx);
-        st.active_edges_local += 1;
-    }
-    for v in 0..n as u32 {
-        let owner = owner_of_key(v as u64, w);
-        states[owner].owned.push(OwnedVertex {
+        },
+        |v| OwnedVertex {
             v,
             weight: wg.weights[v],
             frozen_inc: 0.0,
@@ -440,31 +472,34 @@ pub fn try_run_distributed(
             w_prime: 0.0,
             freeze_iter: 0,
             partial_y: 0.0,
-        });
-    }
-    // `owned` is ascending by construction (vertex ids visited in order).
-    let mut cluster: Cluster<MachineState, Msg> = {
-        let mut it = states.into_iter();
-        Cluster::new(cluster_cfg, move |_| {
-            it.next().expect("one state per machine")
-        })
-    };
+        },
+    )
+    .into_iter();
+    let mut cluster: Cluster<MachineState, Msg> = Cluster::new(cluster_cfg, |id| {
+        let input = inputs.next().expect("one input per machine");
+        MachineState {
+            n,
+            active_edges_local: input.home_edges.len() as u64,
+            home_edges: input.home_edges,
+            endpoint_index: input.index,
+            owned: input.owned,
+            plan: None,
+            sim_vertices: Vec::new(),
+            sim_edges: Vec::new(),
+            coord: (id == 0).then(|| Box::new(CoordState::default())),
+        }
+    });
 
     // ── Startup: homes announce themselves to every endpoint's owner.
     cluster.try_round("subscribe", move |ctx, st, _inbox| {
-        let mut counts: BTreeMap<u32, u32> = BTreeMap::new();
-        for e in &st.home_edges {
-            *counts.entry(e.u).or_default() += 1;
-            *counts.entry(e.v).or_default() += 1;
-        }
-        ctx.reserve_sends(counts.len());
-        for (v, count) in counts {
+        ctx.reserve_sends(st.endpoint_index.keys().len());
+        for (v, idxs) in st.endpoint_index.iter() {
             ctx.send(
                 owner_of_key(v as u64, ctx.num_machines()),
                 Msg::Subscribe {
                     v,
                     home: ctx.id as u32,
-                    count,
+                    count: idxs.len() as u32,
                 },
             );
         }
@@ -732,22 +767,20 @@ fn run_phase_rounds(
                             home_edges,
                             ..
                         } = &mut *st;
-                        if let Some(idxs) = endpoint_index.get(&v) {
-                            for &i in idxs {
-                                let e = &mut home_edges[i as usize];
-                                let cache = if e.u == v {
-                                    &mut e.u_cache
-                                } else {
-                                    &mut e.v_cache
-                                };
-                                *cache = EpCache {
-                                    class,
-                                    w_prime,
-                                    resid_deg,
-                                    freeze_iter: u32::MAX,
-                                    newly_frozen: false,
-                                };
-                            }
+                        for &i in endpoint_index.edges_of(v) {
+                            let e = &mut home_edges[i as usize];
+                            let cache = if e.u == v {
+                                &mut e.u_cache
+                            } else {
+                                &mut e.v_cache
+                            };
+                            *cache = EpCache {
+                                class,
+                                w_prime,
+                                resid_deg,
+                                freeze_iter: u32::MAX,
+                                newly_frozen: false,
+                            };
                         }
                     }
                     Msg::SimVertex { v, w_prime } => st.sim_vertices.push((v, w_prime)),
@@ -764,7 +797,7 @@ fn run_phase_rounds(
             let part_seed = partition_seed(cfg.seed, plan.phase as usize);
             let n = st.n;
             for e in &mut st.home_edges {
-                if e.frozen || e.u_cache.class != class::HIGH || e.v_cache.class != class::HIGH {
+                if !active_high(e) {
                     continue;
                 }
                 e.x0 = cfg.init.phase_value(
@@ -897,14 +930,12 @@ fn run_phase_rounds(
                             home_edges,
                             ..
                         } = &mut *st;
-                        if let Some(idxs) = endpoint_index.get(&v) {
-                            for &i in idxs {
-                                let e = &mut home_edges[i as usize];
-                                if e.u == v {
-                                    e.u_cache.freeze_iter = t;
-                                } else {
-                                    e.v_cache.freeze_iter = t;
-                                }
+                        for &i in endpoint_index.edges_of(v) {
+                            let e = &mut home_edges[i as usize];
+                            if e.u == v {
+                                e.u_cache.freeze_iter = t;
+                            } else {
+                                e.v_cache.freeze_iter = t;
                             }
                         }
                     }
@@ -915,28 +946,34 @@ fn run_phase_rounds(
             let PlanKind::RunPhase { iterations, .. } = plan.kind else {
                 unreachable!();
             };
-            let mut partials: BTreeMap<u32, f64> = BTreeMap::new();
-            for e in &mut st.home_edges {
-                if e.frozen || e.u_cache.class != class::HIGH || e.v_cache.class != class::HIGH {
-                    continue;
-                }
-                let fu = e.u_cache.freeze_iter.min(iterations);
-                let fv = e.v_cache.freeze_iter.min(iterations);
-                let t_prime = fu.min(fv);
-                e.x_mpc = e.x0 * growth_cfg.powi(t_prime as i32);
-                if fu == iterations {
-                    *partials.entry(e.u).or_default() += e.x_mpc;
-                }
-                if fv == iterations {
-                    *partials.entry(e.v).or_default() += e.x_mpc;
-                }
-            }
-            for (v, y) in partials {
+            // An endpoint still active after I iterations collects the
+            // priced edges' values.
+            let shares: Vec<Share> = st
+                .home_edges
+                .iter_mut()
+                .map(|e| {
+                    if !active_high(e) {
+                        return Share::default();
+                    }
+                    let fu = e.u_cache.freeze_iter.min(iterations);
+                    let fv = e.v_cache.freeze_iter.min(iterations);
+                    e.x_mpc = e.x0 * growth_cfg.powi(fu.min(fv) as i32);
+                    Share {
+                        u: e.u,
+                        to_u: fu == iterations,
+                        to_v: fv == iterations,
+                        deg_u: 0,
+                        deg_v: 0,
+                        x: e.x_mpc,
+                    }
+                })
+                .collect();
+            fold_shares(&st.endpoint_index, &shares, |v, y, _| {
                 ctx.send(
                     owner_of_key(v as u64, ctx.num_machines()),
                     Msg::PartialY { v, y },
-                );
-            }
+                )
+            });
         },
     ));
 
@@ -987,44 +1024,52 @@ fn run_phase_rounds(
                             home_edges,
                             ..
                         } = &mut *st;
-                        if let Some(idxs) = endpoint_index.get(&v) {
-                            for &i in idxs {
-                                let e = &mut home_edges[i as usize];
-                                if e.u == v {
-                                    e.u_cache.newly_frozen = true;
-                                } else {
-                                    e.v_cache.newly_frozen = true;
-                                }
+                        for &i in endpoint_index.edges_of(v) {
+                            let e = &mut home_edges[i as usize];
+                            if e.u == v {
+                                e.u_cache.newly_frozen = true;
+                            } else {
+                                e.v_cache.newly_frozen = true;
                             }
                         }
                     }
                     other => unreachable!("finalize got {other:?}"),
                 }
             }
-            let mut deltas: BTreeMap<u32, (f64, u32)> = BTreeMap::new();
-            for e in &mut st.home_edges {
-                if e.frozen || (!e.u_cache.newly_frozen && !e.v_cache.newly_frozen) {
-                    continue;
-                }
-                // Newly frozen endpoints are always HIGH; if the other side is
-                // inactive this is a line (2j) zero-weight freeze.
-                let both_high = e.u_cache.class == class::HIGH && e.v_cache.class == class::HIGH;
-                e.frozen = true;
-                e.x_final = if both_high { e.x_mpc } else { 0.0 };
-                st.active_edges_local -= 1;
-                let du = deltas.entry(e.u).or_default();
-                du.0 += e.x_final;
-                du.1 += u32::from(e.v_cache.newly_frozen);
-                let dv = deltas.entry(e.v).or_default();
-                dv.0 += e.x_final;
-                dv.1 += u32::from(e.u_cache.newly_frozen);
-            }
-            for (v, (d_inc, d_deg)) in deltas {
+            // Both endpoints of a finalized edge get a delta: its value,
+            // plus one lost residual degree if the *other* side froze.
+            let mut finalized = 0;
+            let shares: Vec<Share> = st
+                .home_edges
+                .iter_mut()
+                .map(|e| {
+                    if e.frozen || (!e.u_cache.newly_frozen && !e.v_cache.newly_frozen) {
+                        return Share::default();
+                    }
+                    // Newly frozen endpoints are always HIGH; if the other
+                    // side is inactive this is a line (2j) zero-weight freeze.
+                    let both_high =
+                        e.u_cache.class == class::HIGH && e.v_cache.class == class::HIGH;
+                    e.frozen = true;
+                    e.x_final = if both_high { e.x_mpc } else { 0.0 };
+                    finalized += 1;
+                    Share {
+                        u: e.u,
+                        to_u: true,
+                        to_v: true,
+                        deg_u: u8::from(e.v_cache.newly_frozen),
+                        deg_v: u8::from(e.u_cache.newly_frozen),
+                        x: e.x_final,
+                    }
+                })
+                .collect();
+            st.active_edges_local -= finalized;
+            fold_shares(&st.endpoint_index, &shares, |v, d_inc, d_deg| {
                 ctx.send(
                     owner_of_key(v as u64, ctx.num_machines()),
                     Msg::Delta { v, d_inc, d_deg },
-                );
-            }
+                )
+            });
             if let Some(coord) = st.coord.as_mut() {
                 coord.phase += 1;
             }
@@ -1185,6 +1230,65 @@ mod tests {
         let g = gnm(n, m, seed);
         let w = WeightModel::Uniform { lo: 1.0, hi: 6.0 }.sample(&g, seed ^ 1);
         WeightedGraph::new(g, w)
+    }
+
+    fn share(u: u32, to_u: bool, to_v: bool, x: f64) -> Share {
+        Share {
+            u,
+            to_u,
+            to_v,
+            deg_u: 0,
+            deg_v: 0,
+            x,
+        }
+    }
+
+    fn folded(ends: &[(u32, u32)], shares: &[Share]) -> Vec<(u32, f64, u32)> {
+        let mut out = Vec::new();
+        fold_shares(&EndpointIndex::build(ends), shares, |v, x, d| {
+            out.push((v, x, d))
+        });
+        out
+    }
+
+    #[test]
+    fn zero_valued_contributions_still_send_one_message() {
+        // Line (2j) zero-value freezes: vertex 2 receives two 0.0 shares
+        // and must still get exactly one message.
+        let out = folded(
+            &[(1, 2), (2, 3)],
+            &[share(1, false, true, 0.0), share(2, true, false, 0.0)],
+        );
+        assert_eq!(out, vec![(2, 0.0, 0)]);
+    }
+
+    #[test]
+    fn vertices_without_a_qualifying_edge_get_no_message() {
+        let out = folded(
+            &[(1, 2), (2, 3), (3, 4)],
+            &[
+                Share::default(),
+                share(2, true, false, 0.5),
+                share(3, false, false, 9.0),
+            ],
+        );
+        assert_eq!(out, vec![(2, 0.5, 0)]);
+    }
+
+    #[test]
+    fn sums_accumulate_in_ascending_home_edge_order() {
+        // Vertex 0's sum is order-sensitive: ((0 + 1) + 1e16) - 1e16 = 0
+        // (1e16 + 1 rounds back to 1e16), while the reverse order gives 1.
+        let out = folded(
+            &[(0, 5), (0, 6), (0, 7)],
+            &[
+                share(0, true, false, 1.0),
+                share(0, true, false, 1e16),
+                share(0, true, false, -1e16),
+            ],
+        );
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].1.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   bad-vertex rates.
 //!
 //! [`local_sim`] holds the per-machine simulation shared by all of them;
-//! [`config`] holds every constant of the paper as a parameter.
+//! [`config`] holds every constant of the paper as a parameter;
+//! [`layout`] holds the input distribution and flat endpoint index shared
+//! by the message-passing executors.
 //!
 //! [`executor`] defines the crate-spanning [`Executor`] trait — the
 //! contract every end-to-end MWVC algorithm (this one, and alternative
@@ -23,6 +25,7 @@ pub mod config;
 pub mod coupling;
 pub mod distributed;
 pub mod executor;
+pub mod layout;
 pub mod local_sim;
 pub mod outofcore;
 pub mod reference;

@@ -7,7 +7,8 @@
 //! four roles:
 //!
 //! * **edge home** — edge `e` lives on `owner_of_key(edge_id)`; homes hold
-//!   the edge's frozen flag and finalized dual value,
+//!   the edge's frozen flag and finalized dual value, plus the static flat
+//!   [`EndpointIndex`] from each endpoint to its home edges,
 //! * **vertex owner** — vertex `v` lives on `owner_of_key(v)`; owners hold
 //!   the residual weight, the frozen flag, and the static list of homes
 //!   subscribed to `v`,
@@ -40,6 +41,11 @@
 //! apply      owners                 flags applied
 //! ```
 //!
+//! The input is placed by the same parallel, per-machine pass as the
+//! baseline ([`mwvc_core::mpc::layout::distribute`]); `subscribe` walks
+//! the endpoint index in slot order, so subscriptions go out in ascending
+//! vertex order.
+//!
 //! The host only schedules closures and reads machine 0's broadcast
 //! decision; all data flows through the audited router, so rounds,
 //! traffic, and resident memory are measured (and enforced) exactly as
@@ -49,13 +55,13 @@ use crate::config::{level_seed, parts_for, LocalSolver, RoundCompressConfig};
 use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, SegmentRound, Words};
 use mwvc_baselines::bar_yehuda_even;
 use mwvc_core::centralized::run_centralized_raw;
+use mwvc_core::mpc::layout::{distribute, EndpointIndex};
 use mwvc_core::mpc::{CostReport, CoverCertificate, Executor, ExecutorOutcome, FinalPhaseStats};
 use mwvc_core::{CentralizedParams, DualCertificate, VertexCover};
 use mwvc_graph::{
     EdgeIndex, GraphBuilder, VertexId, VertexPartition, VertexWeights, WeightedGraph,
 };
 use rayon::prelude::*;
-use std::collections::{BTreeSet, HashMap};
 
 /// Cost model of this executor (mirrors
 /// [`mwvc_core::mpc::stats::round_cost`] for the baseline): rounds per
@@ -185,7 +191,7 @@ impl CoordState {
 struct MachineState {
     home_edges: Vec<HomeEdge>,
     /// vertex id → indices into `home_edges` (static).
-    endpoint_index: HashMap<u32, Vec<u32>>,
+    endpoint_index: EndpointIndex,
     /// Owned vertices, ascending by id.
     owned: Vec<OwnedVertex>,
     active_edges_local: u64,
@@ -197,9 +203,8 @@ struct MachineState {
 
 impl Words for MachineState {
     fn words(&self) -> usize {
-        let idx_words: usize = self.endpoint_index.values().map(|v| 1 + v.len()).sum();
         HOME_EDGE_WORDS * self.home_edges.len()
-            + idx_words
+            + self.endpoint_index.words()
             + self
                 .owned
                 .iter()
@@ -405,66 +410,49 @@ pub fn try_run_roundcompress(
 ) -> Result<RoundCompressOutcome, mpc_sim::ClusterError> {
     config.validate();
     let n = wg.num_vertices();
-    let eidx = EdgeIndex::build(&wg.graph);
-    let m_total = eidx.num_edges();
+    let m_total = wg.num_edges();
     let w = cluster_cfg.num_machines;
     let budget_edges = config.budget_edges(n);
 
     // ── Input distribution (free): edges to owner_of_key(edge id),
-    // vertices with their weights to owner_of_key(vertex id).
-    let mut states: Vec<MachineState> = (0..w)
-        .map(|id| MachineState {
-            home_edges: Vec::new(),
-            endpoint_index: HashMap::new(),
-            owned: Vec::new(),
-            active_edges_local: 0,
-            plan: None,
-            sim_vertices: Vec::new(),
-            sim_edges: Vec::new(),
-            coord: (id == 0).then(|| Box::new(CoordState::default())),
-        })
-        .collect();
-    for (geid, e) in eidx.edges().iter().enumerate() {
-        let home = owner_of_key(geid as u64, w);
-        let st = &mut states[home];
-        let idx = st.home_edges.len() as u32;
-        st.home_edges.push(HomeEdge {
-            geid: geid as u32,
-            u: e.u(),
-            v: e.v(),
+    // vertices with their weights to owner_of_key(vertex id); see
+    // `mwvc_core::mpc::layout`.
+    let mut inputs = distribute(
+        &wg.graph,
+        w,
+        |geid, u, v| HomeEdge {
+            geid,
+            u,
+            v,
             frozen: false,
             x_final: 0.0,
-        });
-        st.endpoint_index.entry(e.u()).or_default().push(idx);
-        st.endpoint_index.entry(e.v()).or_default().push(idx);
-        st.active_edges_local += 1;
-    }
-    for v in 0..n as u32 {
-        let owner = owner_of_key(v as u64, w);
-        states[owner].owned.push(OwnedVertex {
+        },
+        |v| OwnedVertex {
             v,
             w_prime: wg.weights[v],
             frozen: false,
             subscribers: Vec::new(),
-        });
-    }
-    // `owned` is ascending by construction (vertex ids visited in order).
-    let mut cluster: Cluster<MachineState, Msg> = {
-        let mut it = states.into_iter();
-        Cluster::new(cluster_cfg, move |_| {
-            it.next().expect("one state per machine")
-        })
-    };
+        },
+    )
+    .into_iter();
+    let mut cluster: Cluster<MachineState, Msg> = Cluster::new(cluster_cfg, |id| {
+        let input = inputs.next().expect("one input per machine");
+        MachineState {
+            active_edges_local: input.home_edges.len() as u64,
+            home_edges: input.home_edges,
+            endpoint_index: input.index,
+            owned: input.owned,
+            plan: None,
+            sim_vertices: Vec::new(),
+            sim_edges: Vec::new(),
+            coord: (id == 0).then(|| Box::new(CoordState::default())),
+        }
+    });
 
     // ── Startup: homes announce themselves to every endpoint's owner.
     cluster.try_round("subscribe", move |ctx, st, _inbox| {
-        let mut endpoints: BTreeSet<u32> = BTreeSet::new();
-        for e in &st.home_edges {
-            endpoints.insert(e.u);
-            endpoints.insert(e.v);
-        }
-        ctx.reserve_sends(endpoints.len());
-        for v in endpoints {
+        ctx.reserve_sends(st.endpoint_index.keys().len());
+        for &v in st.endpoint_index.keys() {
             ctx.send(
                 owner_of_key(v as u64, ctx.num_machines()),
                 Msg::Subscribe {
@@ -808,14 +796,12 @@ fn run_level_rounds(
                             active_edges_local,
                             ..
                         } = &mut *st;
-                        if let Some(idxs) = endpoint_index.get(&v) {
-                            for &i in idxs {
-                                let e = &mut home_edges[i as usize];
-                                if !e.frozen {
-                                    e.frozen = true;
-                                    e.x_final = 0.0;
-                                    *active_edges_local -= 1;
-                                }
+                        for &i in endpoint_index.edges_of(v) {
+                            let e = &mut home_edges[i as usize];
+                            if !e.frozen {
+                                e.frozen = true;
+                                e.x_final = 0.0;
+                                *active_edges_local -= 1;
                             }
                         }
                     }

@@ -4,6 +4,7 @@
 
 use mwvc_repro::baselines::{bar_yehuda_even, exact_mwvc, lp_optimum};
 use mwvc_repro::core::init::is_valid_fractional_matching;
+use mwvc_repro::core::mpc::layout::EndpointIndex;
 use mwvc_repro::core::mpc::{run_outofcore, run_reference, MpcMwvcConfig, OocConfig};
 use mwvc_repro::core::solve_centralized;
 use mwvc_repro::graph::{
@@ -11,6 +12,7 @@ use mwvc_repro::graph::{
 };
 use mwvc_repro::sim::MpcConfig;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Unique scratch path per proptest case so shrink replays never race on
@@ -116,6 +118,39 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&c| c == 2));
+    }
+
+    /// The flat endpoint index equals the naive map it replaces: same
+    /// keys, same per-key lists in the same (ascending) order, same model
+    /// words. `hub` puts vertex 0 on every edge; empty lists (a machine
+    /// with no home edges) come up as the zero-length case.
+    #[test]
+    fn endpoint_index_matches_naive_map(
+        pairs in proptest::collection::vec((0u32..60, 1u32..60), 0..120),
+        hub in 0u8..2,
+    ) {
+        let ends: Vec<(u32, u32)> = pairs
+            .into_iter()
+            .map(|(u, v)| if hub == 1 { (0, v) } else { (u, v) })
+            .collect();
+        let mut naive: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for (i, &(u, v)) in ends.iter().enumerate() {
+            naive.entry(u).or_default().push(i as u32);
+            naive.entry(v).or_default().push(i as u32);
+        }
+        let idx = EndpointIndex::build(&ends);
+        let keys: Vec<u32> = naive.keys().copied().collect();
+        prop_assert_eq!(idx.keys(), &keys[..]);
+        for ((v, list), (k, want)) in idx.iter().zip(&naive) {
+            prop_assert_eq!(v, *k);
+            prop_assert_eq!(list, &want[..]);
+            prop_assert_eq!(idx.edges_of(v), &want[..]);
+        }
+        let words: usize = naive.values().map(|l| 1 + l.len()).sum();
+        prop_assert_eq!(idx.words(), words);
+        if hub == 1 {
+            prop_assert_eq!(idx.edges_of(0).len(), ends.len());
+        }
     }
 
     /// The per-machine memory budget is invisible to every gated field:
