@@ -8,7 +8,7 @@
 //! Exit codes: `0` — model costs and quality identical (gate passes);
 //! `1` — gated differences found (regression, improvement needing a
 //! baseline refresh, or structural drift); `2` — usage, I/O, or parse
-//! error.
+//! error, including a report whose schema version is not this binary's.
 
 // The gate's exit status IS its interface (0 pass / 1 gated diff /
 // 2 usage), and the divergent `usage`/`help` helpers need `exit` rather
@@ -106,7 +106,8 @@ fn print_usage() {
     eprintln!("Exit codes:");
     eprintln!("  0  gate passes: model costs and quality identical to the baseline");
     eprintln!("  1  gated differences found: a regression, an improvement awaiting a");
-    eprintln!("     deliberate baseline refresh, or structural drift (schema version,");
-    eprintln!("     workload matrix, instance shape)");
-    eprintln!("  2  usage, I/O, or parse error — nothing was compared");
+    eprintln!("     deliberate baseline refresh, or structural drift (suite, workload");
+    eprintln!("     matrix, instance shape)");
+    eprintln!("  2  usage, I/O, or parse error — nothing was compared. A report whose");
+    eprintln!("     schema version is not this binary's is a parse error: regenerate it");
 }

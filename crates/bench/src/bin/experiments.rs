@@ -19,7 +19,8 @@
 //! ```
 //!
 //! Exit codes: `0` on success, `2` on any usage error (unknown
-//! subcommand, unknown flag, missing flag argument).
+//! subcommand, unknown flag, missing flag argument) and when an output
+//! file or the `--csv` directory cannot be created or written.
 
 // The exit status is this CLI's interface; everything else in the
 // workspace keeps the `clippy::exit` deny.
@@ -154,6 +155,15 @@ fn main() {
             .num_threads(t)
             .build_global()
             .expect("--threads must be set before the pool is first used");
+    }
+
+    // Fail on an unusable --csv directory before any experiment runs,
+    // not after the first one has spent its time.
+    if let Some(dir) = &opt.csv_dir {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
+            eprintln!("error: cannot create {dir}: {e}");
+            std::process::exit(2);
+        });
     }
 
     if opt.ids.iter().any(|id| id == "bench") {
@@ -408,14 +418,14 @@ fn run_tables(opt: &Options) {
 }
 
 fn emit_tables(id: &str, tables: &[Table], csv_dir: &Option<String>) {
-    if let Some(dir) = csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv output directory");
-    }
     for (k, table) in tables.iter().enumerate() {
         print!("{}", table.render());
         if let Some(dir) = csv_dir {
             let path = format!("{dir}/{id}_{k}.csv");
-            std::fs::write(&path, table.to_csv()).expect("write csv");
+            std::fs::write(&path, table.to_csv()).unwrap_or_else(|e| {
+                eprintln!("error: cannot write {path}: {e}");
+                std::process::exit(2);
+            });
             eprintln!("[{id}] wrote {path}");
         }
     }

@@ -355,14 +355,14 @@ pub fn run_on_instance_repeat(
             bye_weight: ctx.bye_weight,
         },
         critical_path: {
-            let (straggler_machine, straggler_stall_words) = outcome
-                .critical_path
+            let cp = &outcome.trace.critical_path;
+            let (straggler_machine, straggler_stall_words) = cp
                 .straggler()
                 .map_or((-1, 0), |(machine, stall)| (machine as i64, stall as i64));
             CriticalPathStats {
-                barrier_makespan: outcome.critical_path.barrier_makespan as i64,
-                pipelined_makespan: outcome.critical_path.pipelined_makespan as i64,
-                barrier_stall: outcome.critical_path.barrier_stall as i64,
+                barrier_makespan: cp.barrier_makespan as i64,
+                pipelined_makespan: cp.pipelined_makespan as i64,
+                barrier_stall: cp.barrier_stall as i64,
                 straggler_machine,
                 straggler_stall_words,
             }

@@ -31,15 +31,16 @@ use crate::json::Json;
 /// (`"straggler_machine"`, `"straggler_stall_words"`: the machine every
 /// other machine waits for, named from the per-machine stall rows), and
 /// rows may carry an optional, ungated `"host_breakdown"` object — the
-/// informational route/compute/spill host wall-clock split. Pre-v5
-/// reports default the stragglers to `-1`/`0` and the breakdown to
-/// absent.
+/// informational route/compute/spill host wall-clock split.
 ///
 /// v6: `"model"` gained `"checkpoint_words"` and `"replayed_rounds"` —
 /// the recovery-side accounting of the fault-injection layer (words
-/// written to crash-recovery checkpoints; rounds re-executed from one).
-/// Both are 0 for every fault-free run, so pre-v6 reports default them
-/// to 0 and every pre-existing gated field is byte-identical to v5.
+/// charged to crash-recovery checkpoints; rounds re-executed from one).
+/// Both are 0 for every fault-free run, and every pre-existing gated
+/// field is byte-identical to v5.
+///
+/// [`BenchReport::from_json`] reads exactly this version: a report of
+/// any other version is rejected, never migrated or defaulted.
 pub const SCHEMA_VERSION: i64 = 6;
 
 /// Model-side costs of one workload run: exactly what the paper's MPC
@@ -160,27 +161,13 @@ impl CriticalPathStats {
         }
     }
 
-    fn from_json(j: &Json, ctx: &str, schema_version: i64) -> Result<Self, String> {
-        // v4 reports predate the straggler breakdown; default it so the
-        // report still parses and the schema_version mismatch stays
-        // bench-diff's finding.
-        let (straggler_machine, straggler_stall_words) = if schema_version < 5 {
-            (
-                req_int(j, "straggler_machine", ctx).unwrap_or(-1),
-                req_int(j, "straggler_stall_words", ctx).unwrap_or(0),
-            )
-        } else {
-            (
-                req_int(j, "straggler_machine", ctx)?,
-                req_int(j, "straggler_stall_words", ctx)?,
-            )
-        };
+    fn from_json(j: &Json, ctx: &str) -> Result<Self, String> {
         Ok(CriticalPathStats {
             barrier_makespan: req_int(j, "barrier_makespan", ctx)?,
             pipelined_makespan: req_int(j, "pipelined_makespan", ctx)?,
             barrier_stall: req_int(j, "barrier_stall", ctx)?,
-            straggler_machine,
-            straggler_stall_words,
+            straggler_machine: req_int(j, "straggler_machine", ctx)?,
+            straggler_stall_words: req_int(j, "straggler_stall_words", ctx)?,
         })
     }
 }
@@ -249,7 +236,7 @@ pub struct WorkloadReport {
     pub round_wall_s: Vec<f64>,
     /// Not gated, optional: where host wall-clock went (route vs compute
     /// vs spill), summed over rounds. Absent for executors that run
-    /// through no audited cluster and in pre-v5 reports.
+    /// through no audited cluster.
     pub host_breakdown: Option<HostBreakdown>,
 }
 
@@ -328,28 +315,7 @@ impl ModelCosts {
         self.get(name)
     }
 
-    fn from_json(j: &Json, ctx: &str, schema_version: i64) -> Result<Self, String> {
-        // v3 reports predate spill accounting; every pre-v4 run was fully
-        // resident, so 0 is the faithful value — and the schema_version
-        // mismatch stays bench-diff's finding, not a parse error.
-        let spill_words = if schema_version < 4 {
-            req_int(j, "spill_words", ctx).unwrap_or(0)
-        } else {
-            req_int(j, "spill_words", ctx)?
-        };
-        // v5 reports predate fault injection; every such run was
-        // fault-free, so 0 is the faithful value for both fields.
-        let (checkpoint_words, replayed_rounds) = if schema_version < 6 {
-            (
-                req_int(j, "checkpoint_words", ctx).unwrap_or(0),
-                req_int(j, "replayed_rounds", ctx).unwrap_or(0),
-            )
-        } else {
-            (
-                req_int(j, "checkpoint_words", ctx)?,
-                req_int(j, "replayed_rounds", ctx)?,
-            )
-        };
+    fn from_json(j: &Json, ctx: &str) -> Result<Self, String> {
         Ok(ModelCosts {
             phases: req_int(j, "phases", ctx)?,
             mpc_rounds: req_int(j, "mpc_rounds", ctx)?,
@@ -358,9 +324,9 @@ impl ModelCosts {
             total_message_words: req_int(j, "total_message_words", ctx)?,
             peak_round_words: req_int(j, "peak_round_words", ctx)?,
             peak_resident_words: req_int(j, "peak_resident_words", ctx)?,
-            spill_words,
-            checkpoint_words,
-            replayed_rounds,
+            spill_words: req_int(j, "spill_words", ctx)?,
+            checkpoint_words: req_int(j, "checkpoint_words", ctx)?,
+            replayed_rounds: req_int(j, "replayed_rounds", ctx)?,
             violations: req_int(j, "violations", ctx)?,
         })
     }
@@ -443,42 +409,16 @@ impl WorkloadReport {
         Json::Obj(fields)
     }
 
-    fn from_json(j: &Json, schema_version: i64) -> Result<Self, String> {
+    fn from_json(j: &Json) -> Result<Self, String> {
         let id = req_str(j, "id", "workload")?;
         let ctx = format!("workload {id}");
-        // v1 reports predate the executor axis; default the single
-        // executor of that era so the report still parses and the
-        // schema_version mismatch surfaces as a bench-diff finding (with
-        // regenerate guidance) instead of a parse error.
-        let executor = if schema_version < 2 {
-            req_str(j, "executor", &ctx).unwrap_or_else(|_| "distributed".into())
-        } else {
-            req_str(j, "executor", &ctx)?
-        };
-        // v2 reports predate the critical-path statistics and the
-        // per-round wall-clock; default them so the report still parses
-        // and the schema_version mismatch stays bench-diff's finding.
-        let critical_path = if schema_version < 3 {
+        let critical_path = CriticalPathStats::from_json(
             j.get("critical_path")
-                .map(|c| CriticalPathStats::from_json(c, &ctx, schema_version))
-                .transpose()?
-                .unwrap_or(CriticalPathStats {
-                    barrier_makespan: 0,
-                    pipelined_makespan: 0,
-                    barrier_stall: 0,
-                    straggler_machine: -1,
-                    straggler_stall_words: 0,
-                })
-        } else {
-            CriticalPathStats::from_json(
-                j.get("critical_path")
-                    .ok_or(format!("{ctx}: missing critical_path"))?,
-                &ctx,
-                schema_version,
-            )?
-        };
-        // Optional at every version: informational, and executors without
-        // an audited cluster have nothing to report.
+                .ok_or(format!("{ctx}: missing critical_path"))?,
+            &ctx,
+        )?;
+        // Optional: informational, and executors without an audited
+        // cluster have nothing to report.
         let host_breakdown = j
             .get("host_breakdown")
             .map(|h| HostBreakdown::from_json(h, &ctx))
@@ -493,11 +433,10 @@ impl WorkloadReport {
                         .ok_or(format!("{ctx}: non-numeric round_wall_s entry"))
                 })
                 .collect::<Result<Vec<_>, _>>()?,
-            None if schema_version < 3 => Vec::new(),
             None => return Err(format!("{ctx}: missing round_wall_s")),
         };
         Ok(WorkloadReport {
-            executor,
+            executor: req_str(j, "executor", &ctx)?,
             family: req_str(j, "family", &ctx)?,
             weights: req_str(j, "weights", &ctx)?,
             epsilon: req_num(j, "epsilon", &ctx)?,
@@ -506,7 +445,6 @@ impl WorkloadReport {
             model: ModelCosts::from_json(
                 j.get("model").ok_or(format!("{ctx}: missing model"))?,
                 &ctx,
-                schema_version,
             )?,
             quality: Quality::from_json(
                 j.get("quality").ok_or(format!("{ctx}: missing quality"))?,
@@ -538,15 +476,24 @@ impl BenchReport {
     }
 
     /// Parses a report, validating the presence and types of every field.
-    /// A `schema_version` ahead of this binary's is rejected here; an
-    /// older one is surfaced by `bench-diff` as a gate failure instead.
+    /// This is the one place that decides which layouts are read: a
+    /// `schema_version` other than [`SCHEMA_VERSION`] is rejected before
+    /// any other field is looked at, with an error naming both versions
+    /// and how to regenerate the stale report.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let j = Json::parse(text)?;
         let schema_version = req_int(&j, "schema_version", "report")?;
-        if schema_version > SCHEMA_VERSION {
+        if schema_version != SCHEMA_VERSION {
             return Err(format!(
-                "report schema_version {schema_version} is newer than this binary's \
-                 {SCHEMA_VERSION}; rebuild the tools"
+                "schema versions differ — report is v{schema_version}, this binary reads \
+                 v{SCHEMA_VERSION} (the report is {}); regenerate the stale report (cargo run \
+                 --release --bin experiments -- bench --quick --out benchmarks/baseline.json) \
+                 or rebuild the tools instead of comparing across schemas",
+                if schema_version > SCHEMA_VERSION {
+                    "newer"
+                } else {
+                    "older"
+                }
             ));
         }
         let workloads = j
@@ -554,7 +501,7 @@ impl BenchReport {
             .and_then(Json::as_arr)
             .ok_or("report: missing workloads array")?
             .iter()
-            .map(|w| WorkloadReport::from_json(w, schema_version))
+            .map(WorkloadReport::from_json)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(BenchReport {
             schema_version,
@@ -728,136 +675,47 @@ mod tests {
         }
     }
 
-    /// Re-renders the synthetic report at `version` with the v3-only row
-    /// fields dropped — a faithful pre-v3 report.
-    fn stripped_report(version: i64) -> String {
-        let mut report = synthetic_report();
-        report.schema_version = version;
-        let mut j = Json::parse(&report.to_json()).expect("own serialization parses");
-        let Json::Obj(fields) = &mut j else {
-            unreachable!("report root is an object")
-        };
-        for (key, v) in fields.iter_mut() {
-            if key != "workloads" {
-                continue;
-            }
-            let Json::Arr(rows) = v else {
-                unreachable!("workloads is an array")
-            };
-            for row in rows {
-                let Json::Obj(row_fields) = row else {
-                    unreachable!("workload row is an object")
-                };
-                row_fields.retain(|(k, _)| k != "critical_path" && k != "round_wall_s");
-            }
+    #[test]
+    fn schema_version_mismatch_is_reported() {
+        // Any version but the current one is rejected, older or newer,
+        // and before field validation: an old layout that lacks current
+        // fields fails on its version, not on a missing field.
+        for version in [0, 1, 5, SCHEMA_VERSION + 1] {
+            let mut report = synthetic_report();
+            report.schema_version = version;
+            let err = BenchReport::from_json(&report.to_json()).unwrap_err();
+            assert!(err.contains("schema versions differ"), "{err}");
         }
-        j.render()
-    }
-
-    #[test]
-    fn v2_report_without_critical_path_parses_for_the_diff_gate() {
-        // A pre-v3 report has neither critical_path nor round_wall_s; it
-        // must parse with zero/empty defaults so bench-diff can raise the
-        // schema_version mismatch itself rather than dying on a parse.
-        let text = stripped_report(2);
-        assert!(!text.contains("critical_path"));
-        assert!(!text.contains("round_wall_s"));
-        let back = BenchReport::from_json(&text).expect("v2 parses");
-        assert_eq!(back.workloads[0].critical_path.barrier_makespan, 0);
-        assert!(back.workloads[0].round_wall_s.is_empty());
-        // At the current schema the fields are required.
-        let err = BenchReport::from_json(&stripped_report(SCHEMA_VERSION)).unwrap_err();
-        assert!(err.contains("critical_path"), "{err}");
-    }
-
-    #[test]
-    fn v3_report_without_spill_words_parses_for_the_diff_gate() {
-        // A pre-v4 report has no spill_words; every such run was fully
-        // resident, so the 0 default is faithful and the version mismatch
-        // stays bench-diff's finding.
-        let mut report = synthetic_report();
-        report.schema_version = 3;
-        let text = report
-            .to_json()
-            .replace("        \"spill_words\": 0,\n", "")
-            .replace("        \"spill_words\": 256,\n", "");
-        assert!(!text.contains("spill_words"));
-        let back = BenchReport::from_json(&text).expect("v3 parses");
-        assert!(back.workloads.iter().all(|w| w.model.spill_words == 0));
-        // At the current schema the field is required.
-        let v4 = synthetic_report()
-            .to_json()
-            .replace("        \"spill_words\": 0,\n", "")
-            .replace("        \"spill_words\": 256,\n", "");
-        let err = BenchReport::from_json(&v4).unwrap_err();
-        assert!(err.contains("spill_words"), "{err}");
-    }
-
-    #[test]
-    fn v5_report_without_checkpoint_fields_parses_for_the_diff_gate() {
-        // A pre-v6 report has neither checkpoint_words nor
-        // replayed_rounds; every such run was fault-free, so the 0
-        // defaults are faithful and the version mismatch stays
-        // bench-diff's finding.
-        let mut report = synthetic_report();
-        report.schema_version = 5;
-        let text = report
-            .to_json()
-            .replace("        \"checkpoint_words\": 0,\n", "")
-            .replace("        \"checkpoint_words\": 1024,\n", "")
-            .replace("        \"replayed_rounds\": 0,\n", "")
-            .replace("        \"replayed_rounds\": 2,\n", "");
-        assert!(!text.contains("checkpoint_words"));
-        assert!(!text.contains("replayed_rounds"));
-        let back = BenchReport::from_json(&text).expect("v5 parses");
-        assert!(back
-            .workloads
-            .iter()
-            .all(|w| w.model.checkpoint_words == 0 && w.model.replayed_rounds == 0));
-        // At the current schema both fields are required.
-        let v6 = synthetic_report()
+        let mut v5 = synthetic_report();
+        v5.schema_version = 5;
+        let text = v5
             .to_json()
             .replace("        \"checkpoint_words\": 0,\n", "")
             .replace("        \"checkpoint_words\": 1024,\n", "");
-        let err = BenchReport::from_json(&v6).unwrap_err();
-        assert!(err.contains("checkpoint_words"), "{err}");
+        assert!(!text.contains("checkpoint_words"));
+        let err = BenchReport::from_json(&text).unwrap_err();
+        assert!(err.contains("schema versions differ"), "{err}");
+        assert!(!err.contains("checkpoint_words"), "{err}");
     }
 
     #[test]
-    fn v4_report_without_stragglers_parses_for_the_diff_gate() {
-        // A pre-v5 report has neither the straggler breakdown nor the
-        // optional host_breakdown; both must default so the version
-        // mismatch stays bench-diff's finding.
+    fn schema_version_mismatch_names_both_versions_up_front() {
         let mut report = synthetic_report();
-        report.schema_version = 4;
-        let text = report
-            .to_json()
-            .replace("        \"straggler_machine\": 3,\n", "")
-            .replace("        \"straggler_machine\": 0,\n", "")
-            // Last field of its object: the comma belongs to the line above.
-            .replace(",\n        \"straggler_stall_words\": 12", "")
-            .replace(",\n        \"straggler_stall_words\": 0", "");
-        let text = {
-            // Drop the host_breakdown object wholesale.
-            let start = text
-                .find(",\n      \"host_breakdown\"")
-                .expect("breakdown present");
-            let end = text[start..].find("}").expect("object closes") + start + 1;
-            format!("{}{}", &text[..start], &text[end..])
-        };
-        assert!(!text.contains("straggler"));
-        assert!(!text.contains("host_breakdown"));
-        let back = BenchReport::from_json(&text).expect("v4 parses");
-        assert_eq!(back.workloads[0].critical_path.straggler_machine, -1);
-        assert_eq!(back.workloads[0].critical_path.straggler_stall_words, 0);
-        assert!(back.workloads[0].host_breakdown.is_none());
-        // At the current schema the straggler fields are required (the
-        // breakdown stays optional — informational by design).
-        let v5 = synthetic_report()
-            .to_json()
-            .replace("        \"straggler_machine\": 3,\n", "");
-        let err = BenchReport::from_json(&v5).unwrap_err();
-        assert!(err.contains("straggler_machine"), "{err}");
+        report.schema_version = SCHEMA_VERSION - 1;
+        let err = BenchReport::from_json(&report.to_json()).unwrap_err();
+        assert!(
+            err.contains(&format!(
+                "report is v{}, this binary reads v{SCHEMA_VERSION}",
+                SCHEMA_VERSION - 1
+            )),
+            "{err}"
+        );
+        assert!(err.contains("older"), "{err}");
+        assert!(err.contains("regenerate the stale report"), "{err}");
+        assert!(
+            err.contains("bench --quick --out benchmarks/baseline.json"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -869,25 +727,37 @@ mod tests {
     }
 
     #[test]
-    fn v1_report_without_executor_parses_for_the_diff_gate() {
-        // A pre-executor-axis report must not die as a parse error; the
-        // schema_version mismatch is bench-diff's finding to raise.
-        let mut report = synthetic_report();
-        report.schema_version = 1;
-        let text = report
-            .to_json()
-            .replace("      \"executor\": \"distributed\",\n", "")
-            .replace("      \"executor\": \"roundcompress\",\n", "");
-        assert!(!text.contains("executor"));
-        let back = BenchReport::from_json(&text).expect("v1 parses");
-        assert_eq!(back.schema_version, 1);
-        assert!(back.workloads.iter().all(|w| w.executor == "distributed"));
-        // At the current schema the field stays required.
-        let v2 = synthetic_report()
-            .to_json()
-            .replace("      \"executor\": \"distributed\",\n", "");
-        let err = BenchReport::from_json(&v2).unwrap_err();
-        assert!(err.contains("executor"), "{err}");
+    fn current_fields_are_required() {
+        // Every field an older layout lacked is required at the current
+        // version; none is defaulted.
+        let text = synthetic_report().to_json();
+        for (line, field) in [
+            ("      \"executor\": \"distributed\",\n", "executor"),
+            ("        \"spill_words\": 0,\n", "spill_words"),
+            ("        \"straggler_machine\": 3,\n", "straggler_machine"),
+            ("        \"checkpoint_words\": 0,\n", "checkpoint_words"),
+            ("        \"replayed_rounds\": 0,\n", "replayed_rounds"),
+        ] {
+            assert!(text.contains(line), "{field} line present");
+            let err = BenchReport::from_json(&text.replacen(line, "", 1)).unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
+        for field in ["critical_path", "round_wall_s"] {
+            let mut j = Json::parse(&text).expect("own serialization parses");
+            let Json::Obj(fields) = &mut j else {
+                unreachable!("report root is an object")
+            };
+            let Some((_, Json::Arr(rows))) = fields.iter_mut().find(|(k, _)| k == "workloads")
+            else {
+                unreachable!("workloads is an array")
+            };
+            let Json::Obj(row) = &mut rows[0] else {
+                unreachable!("workload row is an object")
+            };
+            row.retain(|(k, _)| k != field);
+            let err = BenchReport::from_json(&j.render()).unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 
     #[test]

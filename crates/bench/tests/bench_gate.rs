@@ -172,7 +172,21 @@ fn bench_diff_binary_flags_injected_rounds_regression() {
         .expect("run bench-diff");
     assert_eq!(out.status.code(), Some(2), "parse errors must exit 2");
 
-    for p in [base_path, cand_path, junk_path] {
+    // A report of another schema version is a parse error too, naming
+    // both versions and the regeneration command.
+    let mut old = base.clone();
+    old.schema_version -= 1;
+    let old_path = temp_file("old.json", &old.to_json());
+    let out = Command::new(env!("CARGO_BIN_EXE_bench-diff"))
+        .args([&base_path, &old_path])
+        .output()
+        .expect("run bench-diff");
+    assert_eq!(out.status.code(), Some(2), "a version mismatch must exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("schema versions differ"), "{stderr}");
+    assert!(stderr.contains("regenerate the stale report"), "{stderr}");
+
+    for p in [base_path, cand_path, junk_path, old_path] {
         let _ = std::fs::remove_file(p);
     }
 }
@@ -207,6 +221,29 @@ fn experiments_cli_rejects_unknown_and_lists() {
     assert!(stdout.contains("scaling"), "{stdout}");
     assert!(stdout.contains("bench workloads (quick):"), "{stdout}");
     assert!(stdout.contains("gnp-uniform-eps4-n1024"), "{stdout}");
+}
+
+/// An unusable `--csv` directory is a clean exit-2 error naming the path,
+/// raised before any experiment runs — never a panic after one has.
+#[test]
+fn experiments_cli_rejects_an_uncreatable_csv_dir() {
+    let file = temp_file("not-a-dir", "");
+    let dir = file.join("sub");
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("e07")
+        .arg("--csv")
+        .arg(&dir)
+        .output()
+        .expect("run experiments");
+    let _ = std::fs::remove_file(&file);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("error: cannot create {}", dir.display())),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("[e07] running"), "{stderr}");
 }
 
 /// The determinism contract behind the gate: gated fields are

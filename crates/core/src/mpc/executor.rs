@@ -96,9 +96,6 @@ pub struct ExecutorOutcome {
     pub solution: CoverCertificate,
     /// Model costs (rounds always; traffic when a router measured it).
     pub cost: CostReport,
-    /// Deterministic critical-path statistics of the round schedule
-    /// (zeroed when the run went through no audited cluster).
-    pub critical_path: mpc_sim::CriticalPath,
     /// Host wall-clock seconds per MPC round (informational; empty when
     /// the run went through no audited cluster).
     pub round_wall: Vec<f64>,
@@ -200,7 +197,6 @@ impl DistributedExecutor {
         ExecutorOutcome {
             solution: CoverCertificate::new(outcome.cover, outcome.certificate),
             cost,
-            critical_path: outcome.trace.critical_path.clone(),
             round_wall: outcome.round_wall,
             trace: outcome.trace,
             host_phases: outcome.host_phases,
@@ -235,7 +231,6 @@ impl Executor for ReferenceExecutor {
         ExecutorOutcome {
             solution: CoverCertificate::new(res.cover, res.certificate),
             cost,
-            critical_path: mpc_sim::CriticalPath::default(),
             round_wall: Vec::new(),
             trace: mpc_sim::ExecutionTrace::default(),
             host_phases: Vec::new(),

@@ -91,7 +91,7 @@ pub struct TrafficCosts {
     /// (nonzero only under [`mpc_sim::MemoryBudget::Enforced`] when a
     /// machine's working set actually overflowed its budget).
     pub spill_words: u64,
-    /// Total words written to round-granular recovery checkpoints
+    /// Total words charged to round-granular recovery checkpoints
     /// (nonzero only when fault injection is active; checkpoints are
     /// charged separately from model spill so fault-free runs are
     /// bit-identical to faulty-but-recovered ones).

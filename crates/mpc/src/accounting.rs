@@ -50,6 +50,19 @@ pub struct RoundStats {
     pub spill_words: u64,
 }
 
+/// One round's host wall-clock, split by phase (seconds). Informational:
+/// host- and thread-count-dependent, never part of trace equality.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct HostPhase {
+    /// Wall-clock of the round's compute sweep (under fault recovery,
+    /// plus the checkpoint and straggler delays that precede it).
+    pub compute_s: f64,
+    /// Wall-clock of the route: layout + placement.
+    pub route_s: f64,
+    /// Wall-clock of spill-file I/O performed during the round.
+    pub spill_s: f64,
+}
+
 /// One machine's simulated schedule entry for one round: when its work
 /// for the round could start in the dependency-pipelined DAG, what it
 /// costs, and how long it would idle at a barrier. All in the model's
@@ -126,9 +139,10 @@ pub struct FaultStats {
     /// Faults injected (crashes + dropped/duplicated deliveries +
     /// stragglers; spill I/O faults count through `retries`).
     pub injected: u64,
-    /// Words written to per-machine recovery checkpoints. Accounted like
-    /// `spill_words` but kept separate so fault-free round stats stay
-    /// bit-identical under injection.
+    /// Words charged to per-machine recovery checkpoints: each state's
+    /// footprint at every checkpoint (the snapshot itself stays in
+    /// memory). Kept apart from `spill_words` so fault-free round stats
+    /// stay bit-identical under injection.
     pub checkpoint_words: u64,
     /// Rounds replayed from checkpoints after crash-restarts.
     pub replayed_rounds: u64,
@@ -176,7 +190,7 @@ pub struct TraceSummary {
     /// Total words written to per-machine spill files over the whole
     /// execution (see [`RoundStats::spill_words`]).
     pub spill_words: u64,
-    /// Words written to recovery checkpoints (zero without fault
+    /// Words charged to recovery checkpoints (zero without fault
     /// injection; see [`FaultStats::checkpoint_words`]).
     pub checkpoint_words: u64,
     /// Rounds replayed from checkpoints after crashes (zero without

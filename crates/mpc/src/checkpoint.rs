@@ -23,12 +23,13 @@
 //!
 //! * **Checkpoints** — at segment entry and every
 //!   [`checkpoint_every`](crate::FaultConfig::checkpoint_every) rounds,
-//!   each machine's state footprint is written to a per-machine
-//!   [`CheckpointStore`] file (built on the [`SpillFile`] layer; words
-//!   are accounted as [`FaultStats::checkpoint_words`](crate::FaultStats)
-//!   and `CheckpointWords` ring events, *not* as round spill words — the
+//!   every machine's state is snapshotted in memory. Nothing is written
+//!   to disk: a checkpoint is a modelled cost, and each machine's state
+//!   footprint is accounted as
+//!   [`FaultStats::checkpoint_words`](crate::FaultStats) and a
+//!   `CheckpointWords` ring event, *not* as round spill words — the
 //!   per-round [`RoundStats`](crate::RoundStats) stay bit-identical to
-//!   the fault-free run) and the state itself is snapshotted in memory.
+//!   the fault-free run.
 //! * **Retained deliveries** — each round's inbox contents are retained
 //!   (re-readable from the arena) until the next checkpoint, so a crash
 //!   can re-deliver every round since the snapshot.
@@ -40,10 +41,10 @@
 //!   and the model costs do not double-count. Exceeding
 //!   [`max_replays`](crate::FaultConfig::max_replays) aborts with
 //!   [`ClusterError::ReplayBudgetExhausted`].
-//! * **Drop/duplicate repair** — the fabric's flat layout knows every
-//!   region's exact message count, so a dropped or duplicated delivery
-//!   is detected and repaired from the retained outbox arena before the
-//!   next compute observes it; only the fault event is model-visible.
+//! * **Drops and duplicates** — a drop or duplicate coin that fires only
+//!   counts a `FaultInjected` event for the machine; the delivery itself
+//!   is never damaged, so nothing is detected or repaired. Its one other
+//!   effect is to send the segment's window through these recovery hooks.
 //!
 //! On an unrecoverable error the trace simply ends at the failed round;
 //! the cluster is not meant to be driven further (callers get a typed
@@ -65,64 +66,6 @@ use crate::faults::{chaos_mutation, ClusterError, FaultKind, FaultPlan};
 use crate::router::Outbox;
 use crate::spill::SpillFile;
 use crate::words::Words;
-
-/// Words written per chunk when materializing a checkpoint into its
-/// backing file.
-const CKPT_CHUNK_WORDS: usize = 512;
-
-/// Per-machine recovery checkpoints, built on the [`SpillFile`] layer.
-///
-/// A checkpoint is modeled, not serialized: machine states are generic
-/// over [`Words`] (a footprint, not an encoding), so the store writes a
-/// state's exact word count into a real backing file — the words move
-/// through the same I/O path the spill layer uses and are accounted as
-/// `checkpoint_words` — while the recovery engine keeps the restorable
-/// state itself as an in-memory snapshot. Checkpoint files are *not*
-/// fault-armed: the store models reliable (replicated) storage, which is
-/// what makes crash-restart recovery sound.
-pub struct CheckpointStore {
-    files: Vec<SpillFile>,
-    zeros: [u64; CKPT_CHUNK_WORDS],
-}
-
-impl CheckpointStore {
-    /// A store with one checkpoint file per machine.
-    pub fn new(m: usize) -> Self {
-        Self {
-            files: (0..m).map(|_| SpillFile::new()).collect(),
-            zeros: [0u64; CKPT_CHUNK_WORDS],
-        }
-    }
-
-    /// Number of machines the store covers.
-    pub fn num_machines(&self) -> usize {
-        self.files.len()
-    }
-
-    /// Replaces `machine`'s checkpoint with one of `words` words,
-    /// surfacing any real I/O failure as a typed
-    /// [`ClusterError::Checkpoint`].
-    pub fn write(&mut self, machine: usize, words: usize) -> Result<(), ClusterError> {
-        let file = &mut self.files[machine];
-        file.clear();
-        let mut left = words;
-        while left > 0 {
-            let chunk = left.min(CKPT_CHUNK_WORDS);
-            file.write_words(&self.zeros[..chunk])
-                .map_err(|e| ClusterError::Checkpoint {
-                    machine,
-                    message: e.to_string(),
-                })?;
-            left -= chunk;
-        }
-        Ok(())
-    }
-
-    /// Words currently held in `machine`'s checkpoint file.
-    pub fn stored_words(&self, machine: usize) -> u64 {
-        self.files[machine].stored_words()
-    }
-}
 
 /// One round of a segment: a label plus the round closure, boxed so a
 /// segment can hold heterogeneous closures. Built by the executors right
@@ -248,10 +191,9 @@ struct Recovery<'r, 'seg, S, M> {
     base: usize,
     every: usize,
     max_replays: u32,
-    store: CheckpointStore,
-    /// The restorable snapshot mirroring the checkpoint files. The
-    /// previous snapshot is kept one generation so the
-    /// `stale-checkpoint` seeded mutation has something wrong to restore.
+    /// The restorable checkpoint. The previous snapshot is kept one
+    /// generation so the `stale-checkpoint` seeded mutation has
+    /// something wrong to restore.
     snapshot: Vec<S>,
     prev_snapshot: Vec<S>,
     /// Segment-relative round the snapshot was taken at.
@@ -277,7 +219,6 @@ impl<'r, 'seg, S: Clone, M> Recovery<'r, 'seg, S, M> {
             base: cluster.trace.rounds.len(),
             every: faults.checkpoint_every.max(1),
             max_replays: faults.max_replays,
-            store: CheckpointStore::new(m),
             snapshot: cluster.states.clone(),
             prev_snapshot: Vec::new(),
             snapshot_round: 0,
@@ -297,7 +238,7 @@ where
 {
     type Error = ClusterError;
 
-    fn before_compute(&mut self, c: &mut Cluster<S, M>) -> Result<(), ClusterError> {
+    fn before_compute(&mut self, c: &mut Cluster<S, M>) {
         let round_index = c.trace.rounds.len();
         let k = round_index - self.base;
         self.injected.fill(0);
@@ -314,14 +255,12 @@ where
             self.retained.clear();
             for (i, state) in c.states.iter().enumerate() {
                 let words = state.words();
-                self.store.write(i, words)?;
                 self.ckpt_words[i] = words as u64;
                 c.trace.faults.checkpoint_words += words as u64;
             }
         }
         // Retain this round's deliveries before the computes drain them:
-        // replay needs to re-deliver them, and drop/duplicate repair
-        // re-reads the damaged region from them.
+        // replay needs to re-deliver them.
         let m = c.config.num_machines;
         self.retained
             .push((0..m).map(|i| c.inboxes.slice(i).to_vec()).collect());
@@ -337,7 +276,6 @@ where
                 }
             }
         }
-        Ok(())
     }
 
     fn after_routing(&mut self, c: &mut Cluster<S, M>) -> Result<(), ClusterError> {
@@ -345,10 +283,8 @@ where
         let k = round_index - self.base;
         let m = c.config.num_machines;
 
-        // Dropped / duplicated deliveries: the flat layout's exact region
-        // counts make both detectable, and the retained arena makes them
-        // repairable before the next compute. The model sees only the
-        // fault event.
+        // Dropped / duplicated deliveries: counted as fault events only;
+        // no delivery is damaged, so there is nothing to repair.
         for (i, inj) in self.injected.iter_mut().enumerate() {
             if self.plan.fires(FaultKind::Drop, i, round_index) {
                 *inj += 1;
@@ -585,14 +521,46 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_store_writes_and_replaces() {
-        let mut store = CheckpointStore::new(2);
-        assert_eq!(store.num_machines(), 2);
-        store.write(0, 1000).unwrap();
-        assert_eq!(store.stored_words(0), 1000);
-        store.write(0, 3).unwrap();
-        assert_eq!(store.stored_words(0), 3);
-        assert_eq!(store.stored_words(1), 0);
+    fn checkpoint_words_are_the_exact_state_footprint_at_each_cadence_round() {
+        // A faulted window checkpoints at its entry and every
+        // `checkpoint_every` rounds after it. Recovery is bit-identical,
+        // so the clean run's states at those rounds fix the exact words.
+        let (m, segments, len) = (4, 3, 4);
+        let faults = FaultConfig {
+            seed: 3,
+            crash_rate: 0.3,
+            checkpoint_every: 2,
+            ..FaultConfig::none()
+        };
+        let plan = FaultPlan::new(faults);
+        let cfg = MpcConfig::new(m, 10_000);
+        let mut clean: Cluster<Acc, u64> = Cluster::new(cfg, |_| Acc::default());
+        let mut expected = Vec::new();
+        for seg in 0..segments {
+            let base = seg * len;
+            let faulted = (base..base + len).any(|r| (0..m).any(|i| plan.round_faulted(i, r)));
+            for (k, r) in segment(len as u64).iter().enumerate() {
+                if faulted && k % faults.checkpoint_every == 0 {
+                    for (i, state) in clean.states().iter().enumerate() {
+                        expected.push((base + k, i, state.words() as u64));
+                    }
+                }
+                clean.round(r.label(), &*r.body);
+            }
+        }
+        assert!(!expected.is_empty(), "the plan must fault some window");
+
+        let recovered = run(cfg.with_faults(faults), segments).unwrap();
+        let total: u64 = expected.iter().map(|&(_, _, w)| w).sum();
+        assert_eq!(recovered.trace().faults.checkpoint_words, total);
+        let events: Vec<(usize, usize, u64)> = recovered
+            .trace()
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::CheckpointWords)
+            .map(|e| (e.round as usize, e.machine as usize, e.value))
+            .collect();
+        assert_eq!(events, expected);
     }
 
     #[test]

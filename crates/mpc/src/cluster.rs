@@ -47,10 +47,9 @@
 //! and benchmark-gateable.
 
 use crate::accounting::{
-    CriticalPath, ExecutionTrace, MachineRound, RoundStats, Violation, ViolationKind,
+    CriticalPath, ExecutionTrace, HostPhase, MachineRound, RoundStats, Violation, ViolationKind,
 };
 use crate::events::EventKind;
-use crate::metrics::{HostPhase, MetricsRegistry};
 use crate::model::{Enforcement, MemoryBudget, MpcConfig};
 use crate::router::{route, FlatInboxes, Outbox, RouteScratch};
 use crate::spill::SpillFile;
@@ -156,9 +155,7 @@ pub(crate) trait RoundHooks<S, M> {
     type Error;
 
     /// Before the compute sweep: checkpoint, retain deliveries, straggle.
-    fn before_compute(&mut self, _cluster: &mut Cluster<S, M>) -> Result<(), Self::Error> {
-        Ok(())
-    }
+    fn before_compute(&mut self, _cluster: &mut Cluster<S, M>) {}
 
     /// After the round is routed: drop/duplicate events and crash replay.
     fn after_routing(&mut self, _cluster: &mut Cluster<S, M>) -> Result<(), Self::Error> {
@@ -298,9 +295,6 @@ pub struct Cluster<S, M> {
     /// Per-round host wall-clock split by phase (compute / route /
     /// spill). Informational, like `round_wall`.
     pub(crate) host_phases: Vec<HostPhase>,
-    /// Always-on metrics: the deterministic model plane and the
-    /// informational host plane.
-    pub(crate) metrics: MetricsRegistry,
 }
 
 impl<S, M> Cluster<S, M>
@@ -333,7 +327,6 @@ where
             cp: CpTracker::new(m),
             round_wall: Vec::new(),
             host_phases: Vec::new(),
-            metrics: MetricsRegistry::default(),
         }
     }
 
@@ -394,7 +387,7 @@ where
         let _round_span = tracing::span!(tracing::Level::Debug, "round");
         let started = Instant::now();
 
-        hooks.before_compute(self)?;
+        hooks.before_compute(self);
         self.compute_all(f);
         let compute_s = started.elapsed().as_secs_f64();
 
@@ -546,27 +539,13 @@ where
 
         // Finish every machine's event row for the round — send volume
         // and barrier stall, now that the critical-path advance fixed the
-        // round maximum — then drain the rings into the trace and fold
-        // the same quantities into the model metrics plane.
+        // round maximum — then drain the rings into the trace.
         let latest = self.cp.latest();
         for (i, ring) in self.scratch.rings.iter_mut().enumerate() {
-            let sent = self.scratch.sent_words[i] as u64;
-            let received = self.scratch.received_words[i] as u64;
-            let stall = latest[i].stall_words;
-            ring.record(EventKind::SentWords, sent);
-            ring.record(EventKind::StallWords, stall);
+            ring.record(EventKind::SentWords, self.scratch.sent_words[i] as u64);
+            ring.record(EventKind::StallWords, latest[i].stall_words);
             ring.drain_into(&mut self.trace.events, round_index as u32, i as u32);
-            self.metrics.model.words_routed.add(sent);
-            self.metrics.model.region_words.record(received);
-            self.metrics.model.stall_words.add(stall);
-            if stall > 0 {
-                self.metrics.model.readiness_waits.inc();
-            }
         }
-        self.metrics.model.spill_words.add(spill_words);
-        self.metrics.host.compute_s.add(compute_s);
-        self.metrics.host.route_s.add(route_s);
-        self.metrics.host.spill_s.add(spill_s);
         self.host_phases.push(HostPhase {
             compute_s,
             route_s,
@@ -585,13 +564,6 @@ where
     /// spill), in round order. Informational, like [`Self::round_wall`].
     pub fn host_phases(&self) -> &[HostPhase] {
         &self.host_phases
-    }
-
-    /// The cluster's metrics registry: deterministic model-domain
-    /// counters plus informational host-time gauges, updated once per
-    /// round by the bookkeeping step.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Messages currently pending delivery to machine `i` (sent in the

@@ -37,7 +37,7 @@ pub enum EventKind {
     /// Faults the deterministic plan injected against this machine this
     /// round (crashes, dropped/duplicated deliveries, stragglers).
     FaultInjected,
-    /// Words written to this machine's recovery checkpoint this round.
+    /// Words charged to this machine's recovery checkpoint this round.
     CheckpointWords,
     /// Rounds this machine replayed from its checkpoint after a crash.
     ReplayRounds,

@@ -15,10 +15,10 @@
 //!   state after a round; recovery restores the latest checkpoint and
 //!   replays the missed rounds from the retained inbox deliveries (see
 //!   [`checkpoint`](crate::checkpoint)).
-//! * **Dropped / duplicated deliveries** (`drop_rate`, `dup_rate`) — the
-//!   fabric's sequence-numbered arenas detect the damage and re-deliver
-//!   the correct region before the next compute; the model-visible
-//!   effect is the fault event and the repair accounting.
+//! * **Dropped / duplicated deliveries** (`drop_rate`, `dup_rate`) — a
+//!   firing coin only counts a `FaultInjected` event and sends the
+//!   window through the recovery hooks; no delivery is actually dropped
+//!   or duplicated, so there is nothing to detect or repair.
 //! * **Transient spill I/O errors** (`spill_io_rate`) — injected per
 //!   spill operation and retried with a bounded, attempt-count backoff
 //!   (no wall-clock enters the model domain); exhausting the retry
@@ -28,8 +28,7 @@
 //!   says must not matter) and never the model plane.
 //!
 //! Unrecoverable situations — a replay budget exhausted, a persistent
-//! spill failure, a checkpoint that cannot be written — surface as a
-//! typed [`ClusterError`] through the cluster's `try_` entry points,
+//! spill failure — surface as a typed [`ClusterError`] through the cluster's `try_` entry points,
 //! never as a panic.
 
 use serde::{Deserialize, Serialize};
@@ -45,11 +44,11 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Probability a machine crash-restarts after a round.
     pub crash_rate: f64,
-    /// Probability a machine's inbound delivery is dropped in transit
-    /// (detected and re-delivered by the fabric).
+    /// Probability a machine's inbound delivery is marked dropped in
+    /// transit. Counted as a fault event only; the delivery is intact.
     pub drop_rate: f64,
-    /// Probability a machine's inbound delivery is duplicated in transit
-    /// (detected and deduplicated by the fabric).
+    /// Probability a machine's inbound delivery is marked duplicated in
+    /// transit. Counted as a fault event only; the delivery is intact.
     pub dup_rate: f64,
     /// Probability one spill-file I/O attempt fails transiently.
     pub spill_io_rate: f64,
@@ -235,13 +234,6 @@ pub enum ClusterError {
         /// Underlying error description.
         message: String,
     },
-    /// A recovery checkpoint could not be written.
-    Checkpoint {
-        /// Machine whose checkpoint failed.
-        machine: usize,
-        /// Underlying error description.
-        message: String,
-    },
     /// A machine exceeded its per-segment crash-replay budget.
     ReplayBudgetExhausted {
         /// Machine that kept crashing.
@@ -264,9 +256,6 @@ impl fmt::Display for ClusterError {
                 f,
                 "machine {machine}: spill I/O failed after {attempts} attempt(s): {message}"
             ),
-            ClusterError::Checkpoint { machine, message } => {
-                write!(f, "machine {machine}: checkpoint write failed: {message}")
-            }
             ClusterError::ReplayBudgetExhausted {
                 machine,
                 round,

@@ -41,7 +41,6 @@ pub mod cluster;
 pub mod congested_clique;
 pub mod events;
 pub mod faults;
-pub mod metrics;
 pub mod model;
 pub mod primitives;
 pub mod rng;
@@ -50,14 +49,13 @@ pub mod spill;
 pub mod words;
 
 pub use accounting::{
-    CriticalPath, ExecutionTrace, FaultStats, MachineRound, RoundStats, TraceSummary, Violation,
-    ViolationKind,
+    CriticalPath, ExecutionTrace, FaultStats, HostPhase, MachineRound, RoundStats, TraceSummary,
+    Violation, ViolationKind,
 };
-pub use checkpoint::{CheckpointStore, SegmentRound};
+pub use checkpoint::SegmentRound;
 pub use cluster::{Cluster, Inbox, MachineCtx};
 pub use events::{EventKind, EventRing, TraceEvent};
 pub use faults::{chaos_mutation, ClusterError, FaultConfig, FaultKind, FaultPlan};
-pub use metrics::{HostMetrics, HostPhase, MetricsRegistry, ModelMetrics};
 pub use model::{Enforcement, MemoryBudget, MemoryRegime, MpcConfig};
 pub use router::{FlatInboxes, Outbox, RouteScratch};
 pub use spill::SpillFile;

@@ -258,11 +258,6 @@ impl SpillFile {
         self.read_cursor = 0;
     }
 
-    /// Words currently stored in the log.
-    pub fn stored_words(&self) -> u64 {
-        self.stored_words
-    }
-
     /// Total words spilled over the file's lifetime.
     pub fn spilled_words(&self) -> u64 {
         self.spilled_words
@@ -321,7 +316,7 @@ mod tests {
         assert_eq!(s.read_words(&mut [0; 4]).unwrap(), 0);
         s.write_words(&[1, 2, 3]).unwrap();
         s.write_words(&[4, 5]).unwrap();
-        assert_eq!(s.stored_words(), 5);
+        assert_eq!(s.stored_words, 5);
         assert_eq!(s.spilled_words(), 5);
         assert_eq!(s.take_round_words(), 5);
         assert_eq!(s.take_round_words(), 0);
@@ -339,7 +334,7 @@ mod tests {
         let mut s = SpillFile::new();
         s.write_words(&[7; 10]).unwrap();
         s.clear();
-        assert_eq!(s.stored_words(), 0);
+        assert_eq!(s.stored_words, 0);
         assert_eq!(s.spilled_words(), 10);
         s.write_words(&[8, 9]).unwrap();
         s.rewind();
@@ -416,7 +411,7 @@ mod tests {
         assert!(msg.contains("injected"));
         assert!(!s.has_error());
         // Nothing was written through the failure.
-        assert_eq!(s.stored_words(), 0);
+        assert_eq!(s.stored_words, 0);
     }
 
     #[test]

@@ -968,7 +968,6 @@ impl RoundCompressExecutor {
         ExecutorOutcome {
             solution: CoverCertificate::new(out.cover, out.certificate),
             cost,
-            critical_path: out.trace.critical_path.clone(),
             round_wall: out.round_wall,
             trace: out.trace,
             host_phases: out.host_phases,
